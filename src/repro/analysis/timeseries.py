@@ -22,6 +22,8 @@ def mean_active_over_time_df(
     ``activation_time <= t`` over all trials and dividing by n_trials.
     """
     max_t = activations.agg(F.max("time").alias("m")).collect()[0]["m"]
+    if max_t is None:  # no activations: an empty curve
+        return spark.createDataFrame([], "time long, mean_active double")
     grid = spark.range(int(max_t) + 1).withColumnRenamed("id", "t")
     joined = grid.join(activations, activations.time <= grid.t)
     return (

@@ -1,4 +1,4 @@
-"""Shared engine types: result record, seed validation, model names."""
+"""Shared engine types: result record, input validation, model names."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -50,6 +50,21 @@ def validate_seeds(n: int, seeds) -> np.ndarray:
     if s[0] < 0 or s[-1] >= n:
         raise ValueError(f"seed out of range [0, {n})")
     return s
+
+
+def validate_weights(csr, weights) -> np.ndarray:
+    """Check edge weights are ``(m,)`` probabilities; return them as float64.
+
+    LT's extra condition (incoming weights of a node sum to at most 1) is
+    left to :func:`repro.diffusion.exact.exact_lt` and
+    :func:`repro.graphs.weights.normalize_for_lt`.
+    """
+    w = np.asarray(weights, np.float64)
+    if w.shape != (csr.m,):
+        raise ValueError(f"weights must be ({csr.m},), got {w.shape}")
+    if not np.isfinite(w).all() or (w < 0).any() or (w > 1).any():
+        raise ValueError("weights must be finite and in [0, 1]")
+    return w
 
 
 def validate_model(model: str) -> str:

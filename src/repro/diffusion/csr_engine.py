@@ -6,48 +6,53 @@ CSR slices of the frontier (a fully vectorized ragged gather) and touches
 work proportional to the edges incident to active nodes, not to |V| or |E|.
 Compiled NumPy vector loops stand in for CyNetDiff's compiled Cython scalar
 loops; the algorithm and data layout are the paper's.
+
+IC runs as one BFS over (trial, node) pairs for a whole batch of trials:
+cross-trial vectorization is how a NumPy kernel recovers the throughput a
+compiled scalar kernel gets for free. Two module budgets bound its working
+set: ``STATE_CELLS`` caps the activation cells of one batch (so trials per
+batch shrink as graphs grow) and ``EDGE_PIECE`` caps the out-edges gathered
+at once within a BFS round (so flooding cascades stay cache-sized).
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, validate_model, validate_seeds
+from repro.diffusion.common import (
+    DiffusionResult,
+    validate_model,
+    validate_seeds,
+    validate_weights,
+)
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
-    ScalarCoins,
     trial_bases,
     uniforms,
     uniforms_mixed,
 )
 from repro.graphs.csr import CSRGraph
 
-
-def _gather_out_edges(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """Edge ids of all out-edges of ``frontier``, as one flat int64 array.
-
-    Vectorized ragged gather: for frontier nodes with CSR ranges
-    [s_i, e_i), produce the concatenation of arange(s_i, e_i) without a
-    Python-level loop.
-    """
-    starts = csr.indptr[frontier]
-    counts = csr.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    # position within the concatenated output, minus the cumulative offset
-    # of each node's block, plus that node's CSR start.
-    offsets = np.zeros(len(counts), np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + np.repeat(starts, counts)
+# int32 activation cells (trials x nodes) per batch: 16 MiB of state, plus
+# as much again for the dedup owner array.
+STATE_CELLS = 1 << 22
+# Out-edges gathered per piece of a BFS round, so a flooding round's
+# temporaries stay cache-sized: on a 4-core Xeon, Table 1's FB UR cell
+# (100 trials) took 0.42-0.50 s with pieces of 2**13-2**16 edges, within
+# noise of each other, and 1.02 s unpieced. A later piece sees the earlier
+# pieces' activations, which only drops duplicate targets, so the pieces
+# never change a result.
+EDGE_PIECE = 1 << 14
 
 
-# Below this many frontier out-edges the scalar kernel path is used: a
-# compiled scalar loop (which is what Cython emits) beats NumPy's fixed
-# per-call overhead when the frontier is a handful of nodes — exactly the
-# regime CELF lives in (single-seed cascades). Both paths flip the same
-# counter-based coins, so the output is bit-identical either way.
-_SCALAR_PATH_MAX_EDGES = 128
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` over ``zip(starts, counts)``
+    (at least one pair), as one flat int64 array built without a
+    Python-level loop."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1], dtype=np.int64) + (starts - ends + counts).repeat(counts)
 
 
 class CSREngine:
@@ -55,158 +60,90 @@ class CSREngine:
 
     Construction (graph + weights capture) is the analog of CyNetDiff's
     model-class instantiation and is excluded from per-trial timings, as
-    in the paper's benchmarks. The IC kernel is adaptive: big frontiers
-    take the vectorized ragged-gather path, tiny frontiers a scalar path
-    over pre-extracted plain arrays (see ``_SCALAR_PATH_MAX_EDGES``).
+    in the paper's benchmarks. Every IC entry point runs the batched
+    kernel (:meth:`activation_times`); LT runs one trial at a time.
     """
 
     kind = "csr"
 
     def __init__(self, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic") -> None:
-        if weights.shape != (csr.m,):
-            raise ValueError(f"weights must be ({csr.m},), got {weights.shape}")
         self.csr = csr
-        self.weights = np.asarray(weights, np.float64)
+        self.weights = validate_weights(csr, weights)
         self.model = validate_model(model)
-        # Plain-list mirrors for the scalar fast path (built once; the
-        # analog of the Cython kernel's typed memoryviews).
-        self._ptr = csr.indptr.tolist()
-        self._dst = csr.indices.tolist()
-        self._w = self.weights.tolist()
 
     def run(self, seeds, trial_seed: int) -> DiffusionResult:
         """Run one trial; deterministic in ``trial_seed``."""
-        seeds = validate_seeds(self.csr.n, seeds)
-        if self.model == "ic":
-            return self._run_ic(seeds, trial_seed)
-        return self._run_lt(seeds, trial_seed)
+        _, block = next(self.activation_times(seeds, [trial_seed]))
+        return DiffusionResult(activation_time=block[0], num_iterations=int(block[0].max()))
 
-    def _run_ic(self, seeds: np.ndarray, trial_seed: int) -> DiffusionResult:
-        csr, w = self.csr, self.weights
-        ptr, dst, wl = self._ptr, self._dst, self._w
-        coins = ScalarCoins(STREAM_IC_COIN, trial_seed)
-        act_time = np.full(csr.n, -1, np.int32)
-        act_list = [-1] * csr.n  # scalar-path mirror, kept in sync
-        for s in seeds.tolist():
-            act_list[s] = 0
-        act_time[seeds] = 0
-        frontier, t = seeds, 0
-        while frontier.size:
-            edge_total = int((csr.indptr[frontier + 1] - csr.indptr[frontier]).sum())
-            if edge_total == 0:
-                break
-            if edge_total <= _SCALAR_PATH_MAX_EDGES:
-                newly_list: list[int] = []
-                for u in frontier.tolist():
-                    for i in range(ptr[u], ptr[u + 1]):
-                        v = dst[i]
-                        if act_list[v] < 0 and coins.u(i) < wl[i]:
-                            act_list[v] = t + 1
-                            newly_list.append(v)
-                if not newly_list:
-                    break
-                t += 1
-                newly = np.asarray(sorted(newly_list), np.int64)
-                act_time[newly] = t
-            else:
-                eids = _gather_out_edges(csr, frontier)
-                succ = uniforms(STREAM_IC_COIN, trial_seed, eids) < w[eids]
-                targets = csr.indices[eids[succ]]
-                targets = targets[act_time[targets] < 0]
-                if targets.size == 0:
-                    break
-                newly = np.unique(targets)
-                t += 1
-                act_time[newly] = t
-                for v in newly.tolist():
-                    act_list[v] = t
-            frontier = newly
-        return DiffusionResult(activation_time=act_time, num_iterations=t)
-
-    def run_many(self, seeds, trial_seeds, *, batch_size: int = 64) -> np.ndarray:
+    def run_many(self, seeds, trial_seeds) -> np.ndarray:
         """Activated-node counts for many trials, one per ``trial_seeds``.
 
-        The IC path simulates ``batch_size`` trials *simultaneously* in
-        one BFS over (trial, node) pairs — cross-trial vectorization is
-        how a NumPy kernel recovers the throughput a compiled scalar
-        kernel gets for free, and it is the workhorse behind the
-        Monte-Carlo spread estimates in CELF and the Table 1/2 numbers.
-        Coins are the per-trial counter streams, so every trial's count
-        is bit-identical to ``run(seeds, trial_seeds[k]).num_active``
-        (asserted in tests). LT falls back to the per-trial kernel.
+        Every trial's count is bit-identical to
+        ``run(seeds, trial_seeds[k]).num_active`` (asserted in tests).
         """
-        seeds = validate_seeds(self.csr.n, seeds)
-        ts = [int(t) for t in np.asarray(trial_seeds).tolist()]
-        if self.model != "ic":
-            return np.asarray(
-                [self._run_lt(seeds, t).num_active for t in ts], np.int64
-            )
-        out = np.empty(len(ts), np.int64)
-        # Pilot: run two trials with the per-trial kernel and look at how
-        # many edges a cascade touches. Small cascades (the CELF regime)
-        # amortize per-round NumPy overhead across trials in the batched
-        # kernel; flooding cascades already saturate the vector units per
-        # trial, and batching would only grow the sort/unique working set.
-        # Either path flips identical coins, so this is purely a speed
-        # heuristic.
-        n_pilot = min(2, len(ts))
-        outdeg = self.csr.out_degree()
-        touched = 0.0
-        for k in range(n_pilot):
-            res = self._run_ic(seeds, ts[k])
-            out[k] = res.num_active
-            touched += float(outdeg[res.active_nodes].sum())
-        rest = ts[n_pilot:]
-        if not rest:
-            return out
-        if touched / n_pilot >= 5000.0:
-            for k, t in enumerate(rest, start=n_pilot):
-                out[k] = self._run_ic(seeds, t).num_active
-            return out
-        for lo in range(0, len(rest), batch_size):
-            chunk = rest[lo : lo + batch_size]
-            out[n_pilot + lo : n_pilot + lo + len(chunk)] = self._run_ic_batch(
-                seeds, chunk
-            )
+        out = np.empty(len(trial_seeds), np.int64)
+        for lo, block in self.activation_times(seeds, trial_seeds):
+            out[lo : lo + len(block)] = (block >= 0).sum(axis=1)
         return out
 
-    def _run_ic_batch(self, seeds: np.ndarray, chunk: list[int]) -> np.ndarray:
-        """One batched IC BFS over (trial, node) pairs for a trial chunk."""
-        csr, w = self.csr, self.weights
-        n = csr.n
-        T = len(chunk)
-        bases = trial_bases(STREAM_IC_COIN, chunk)
-        # Flat activation state: cell trial*n + node >= 0 iff activated.
+    def activation_times(self, seeds, trial_seeds) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(lo, block)`` covering ``trial_seeds`` in order.
+
+        ``block`` is an int32 ``[T, n]`` array whose row ``k`` is the
+        activation times of trial ``trial_seeds[lo + k]`` (-1: never
+        active). A trial's activated count is ``(row >= 0).sum()`` and its
+        number of iterations ``row.max()``.
+        """
+        seeds = validate_seeds(self.csr.n, seeds)
+        if self.model != "ic":
+            for k, t in enumerate(trial_seeds):
+                yield k, self._run_lt(seeds, int(t)).activation_time[None]
+            return
+        bases = trial_bases(STREAM_IC_COIN, trial_seeds)
+        step = max(1, min(bases.size, STATE_CELLS // self.csr.n))
+        for lo in range(0, bases.size, step):
+            yield lo, self._ic_block(seeds, bases[lo : lo + step])
+
+    def _ic_block(self, seeds: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        """One IC BFS over (trial, node) pairs for the trials of ``bases``."""
+        indptr, indices, w, n = self.csr.indptr, self.csr.indices, self.weights, self.csr.n
+        T = bases.size
+        # Flat state: cell trial*n + node holds the node's activation time.
         act = np.full(T * n, -1, np.int32)
-        f_trial = np.repeat(np.arange(T, dtype=np.int64), len(seeds))
-        f_node = np.tile(seeds, T)
-        act[f_trial * n + f_node] = 0
+        owner = np.empty(T * n, np.int32)
+        frontier = (np.arange(T, dtype=np.int64)[:, None] * n + seeds).ravel()
+        act[frontier] = 0
         t = 0
-        while f_node.size:
-            starts = csr.indptr[f_node]
-            counts = csr.indptr[f_node + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            offsets = np.zeros(len(counts), np.int64)
-            np.cumsum(counts[:-1], out=offsets[1:])
-            eids = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(offsets, counts)
-                + np.repeat(starts, counts)
-            )
-            pair_trial = np.repeat(f_trial, counts)
-            succ = uniforms_mixed(bases[pair_trial], eids) < w[eids]
-            tgt_flat = pair_trial[succ] * n + csr.indices[eids[succ]]
-            tgt_flat = tgt_flat[act[tgt_flat] < 0]
-            if tgt_flat.size == 0:
-                break
-            newly = np.unique(tgt_flat)
-            t += 1
-            act[newly] = t
-            f_trial = newly // n
-            f_node = newly % n
-        return (act.reshape(T, n) >= 0).sum(axis=1).astype(np.int64)
+        while frontier.size:
+            f_trial, f_node = np.divmod(frontier, n)
+            starts = indptr[f_node]
+            counts = indptr[f_node + 1] - starts
+            ends = counts.cumsum()
+            pieces = []
+            lo = 0
+            while lo < frontier.size:
+                # Widest run of frontier pairs within EDGE_PIECE edges (at
+                # least one pair, whatever its degree).
+                hi = int(ends.searchsorted(ends[lo] - counts[lo] + EDGE_PIECE, "right"))
+                hi = max(hi, lo + 1)
+                eids = _ragged_arange(starts[lo:hi], counts[lo:hi])
+                pair_trial = f_trial[lo:hi].repeat(counts[lo:hi])
+                hit = (uniforms_mixed(bases[pair_trial], eids) < w[eids]).nonzero()[0]
+                tgt = pair_trial[hit] * n + indices[eids[hit]]
+                tgt = tgt[act[tgt] < 0]
+                # Keep one copy of each target: of repeated writes to a
+                # cell exactly one lands, whichever order NumPy uses.
+                k = np.arange(tgt.size, dtype=np.int32)
+                owner[tgt] = k
+                tgt = tgt[owner[tgt] == k]
+                act[tgt] = t + 1
+                pieces.append(tgt)
+                lo = hi
+            frontier = np.concatenate(pieces)
+            if frontier.size:
+                t += 1
+        return act.reshape(T, n)
 
     def _run_lt(self, seeds: np.ndarray, trial_seed: int) -> DiffusionResult:
         csr, w = self.csr, self.weights
@@ -219,7 +156,8 @@ class CSREngine:
         acc = np.zeros(csr.n, np.float64)
         frontier, t = seeds, 0
         while frontier.size:
-            eids = _gather_out_edges(csr, frontier)
+            starts = csr.indptr[frontier]
+            eids = _ragged_arange(starts, csr.indptr[frontier + 1] - starts)
             if eids.size == 0:
                 break
             targets_all = csr.indices[eids]

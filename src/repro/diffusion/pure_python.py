@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, validate_model, validate_seeds
+from repro.diffusion.common import (
+    DiffusionResult,
+    validate_model,
+    validate_seeds,
+    validate_weights,
+)
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -26,8 +31,7 @@ class PurePythonEngine:
     kind = "pure_python"
 
     def __init__(self, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic") -> None:
-        if weights.shape != (csr.m,):
-            raise ValueError(f"weights must be ({csr.m},), got {weights.shape}")
+        weights = validate_weights(csr, weights)
         self.n = csr.n
         self.model = validate_model(model)
         # Adjacency as plain Python lists of (dst, eid, weight) built from

@@ -39,13 +39,47 @@ def splitmix64_py(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK
 
 
+# The same constants as uint64 0-d arrays for the vectorized hash: the
+# array ops stay uint64, and ufuncs take 0-d arrays faster than scalars.
+_GAMMA_U, _MUL1_U, _MUL2_U, _S11, _S27, _S30, _S31 = (
+    np.array(k, np.uint64) for k in (_GAMMA, _MUL1, _MUL2, 11, 27, 30, 31)
+)
+
+
+def _as_u64(values) -> np.ndarray:
+    """Integers as a fresh uint64 array, wrapped like ``& _MASK``."""
+    a = np.asarray(values)
+    if a.dtype.kind in "iu":
+        return a.astype(np.uint64)
+    # Python ints that do not fit one NumPy integer type (or no values).
+    return np.array([int(v) & _MASK for v in values], np.uint64)
+
+
 def _splitmix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 over a uint64 array (wrapping arithmetic)."""
-    with np.errstate(over="ignore"):
-        x = (x + np.uint64(_GAMMA)).astype(np.uint64)
-        x = ((x ^ (x >> np.uint64(30))) * np.uint64(_MUL1)).astype(np.uint64)
-        x = ((x ^ (x >> np.uint64(27))) * np.uint64(_MUL2)).astype(np.uint64)
-        return (x ^ (x >> np.uint64(31))).astype(np.uint64)
+    """Vectorized splitmix64 over a uint64 array, in place; returns ``x``.
+
+    Array arithmetic on uint64 wraps modulo 2**64 without a warning; only
+    NumPy scalar arithmetic checks for overflow, so every step works in
+    place on the array (a 0-d input stays a 0-d array).
+    """
+    x += _GAMMA_U
+    t = np.right_shift(x, _S30, out=np.empty_like(x))
+    x ^= t
+    x *= _MUL1_U
+    np.right_shift(x, _S27, out=t)
+    x ^= t
+    x *= _MUL2_U
+    np.right_shift(x, _S31, out=t)
+    x ^= t
+    return x
+
+
+def _to_uniform(h: np.ndarray) -> np.ndarray:
+    """53-bit uniforms in [0, 1) from hashes (``h`` is overwritten)."""
+    h >>= _S11
+    u = h.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def base_key(stream: int, trial_seed: int) -> int:
@@ -55,17 +89,17 @@ def base_key(stream: int, trial_seed: int) -> int:
 
 def uniforms(stream: int, trial_seed: int, ids: np.ndarray) -> np.ndarray:
     """Vectorized uniforms in [0, 1) for an int array of ids."""
-    base = np.uint64(base_key(stream, trial_seed))
-    with np.errstate(over="ignore"):
-        h = _splitmix64_np(base + np.asarray(ids).astype(np.uint64))
-    return (h >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    x = _as_u64(ids)
+    x += np.uint64(base_key(stream, trial_seed))
+    return _to_uniform(_splitmix64_np(x))
 
 
 def trial_bases(stream: int, trial_seeds) -> np.ndarray:
-    """Per-trial base keys as a uint64 array (for cross-trial batching)."""
-    return np.asarray(
-        [base_key(stream, int(t)) for t in trial_seeds], dtype=np.uint64
-    )
+    """Per-trial base keys as a uint64 array (for cross-trial batching);
+    ``trial_bases(s, ts)[k] == base_key(s, ts[k])``."""
+    x = _splitmix64_np(_as_u64(trial_seeds))
+    x ^= np.uint64(stream)
+    return _splitmix64_np(x)
 
 
 def uniforms_mixed(bases: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -75,11 +109,9 @@ def uniforms_mixed(bases: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ``uniforms(s, ts[k], ids)`` — the cross-trial batched kernel flips
     exactly the coins the per-trial kernels flip.
     """
-    with np.errstate(over="ignore"):
-        h = _splitmix64_np(
-            np.asarray(bases, np.uint64) + np.asarray(ids).astype(np.uint64)
-        )
-    return (h >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    x = _as_u64(ids)
+    x += np.asarray(bases, np.uint64)
+    return _to_uniform(_splitmix64_np(x))
 
 
 def uniform_one(stream: int, trial_seed: int, id_: int) -> float:

@@ -83,7 +83,8 @@ def run_trials_df(
             (trial, node, time), the input to heatmap/timeseries analytics.
 
     Returns a lazily-evaluated DataFrame; each partition instantiates one
-    :class:`CSREngine` from the broadcast CSR arrays and loops its trials.
+    :class:`CSREngine` from the broadcast CSR arrays and runs its trials
+    through :meth:`CSREngine.activation_times` (batched for IC).
     """
     model = validate_model(model)
     seeds = validate_seeds(csr.n, seeds)
@@ -109,28 +110,24 @@ def run_trials_df(
             model=p["model"],
         )
         for batch in batches:
-            trials = batch["trial"].tolist()
-            if want_summary:
-                # Per-trial results are still needed for num_iterations,
-                # so the per-trial kernel runs here; counts cross-check
-                # the batched kernel in tests.
-                rows = [(t, engine.run(p["seeds"], int(t))) for t in trials]
-                yield pd.DataFrame(
-                    {
-                        "trial": [t for t, _ in rows],
-                        "num_active": [r.num_active for _, r in rows],
-                        "num_iterations": [r.num_iterations for _, r in rows],
-                    }
-                )
-            else:
-                for trial in trials:
-                    res = engine.run(p["seeds"], int(trial))
-                    nodes = res.active_nodes
+            trials = batch["trial"].to_numpy(np.int64)
+            for lo, block in engine.activation_times(p["seeds"], trials):
+                tr = trials[lo : lo + len(block)]
+                if want_summary:
                     yield pd.DataFrame(
                         {
-                            "trial": np.full(nodes.size, trial, np.int64),
-                            "node": nodes.astype(np.int64),
-                            "time": res.activation_time[nodes].astype(np.int32),
+                            "trial": tr,
+                            "num_active": (block >= 0).sum(axis=1),
+                            "num_iterations": block.max(axis=1).astype(np.int64),
+                        }
+                    )
+                else:
+                    k, nodes = np.nonzero(block >= 0)
+                    yield pd.DataFrame(
+                        {
+                            "trial": tr[k],
+                            "node": nodes,
+                            "time": block[k, nodes],
                         }
                     )
 

@@ -28,8 +28,11 @@ def trial_seed_block(base_seed: int, n_trials: int) -> np.ndarray:
 
     Hash-derived (splitmix64) so disjoint blocks never collide for
     different ``base_seed`` values, keeping Monte-Carlo batches
-    independent across experiments.
+    independent across experiments. Block ``b`` hashes the counters
+    ``b * 2**20 + i``, so a block holds at most ``2**20`` trials.
     """
+    if not 0 <= n_trials <= 1 << 20:
+        raise ValueError(f"n_trials must be in [0, 2**20], got {n_trials}")
     return np.asarray(
         [splitmix64_py((base_seed << 20) + i) >> 1 for i in range(n_trials)],
         dtype=np.int64,

@@ -131,3 +131,11 @@ def test_timeseries_monotone_and_bounded(spark, workload):
     assert (np.diff(vals) >= 0).all()
     assert vals[0] == pytest.approx(len(SEEDS))  # t=0: exactly the seeds
     assert vals[-1] <= csr.n
+
+
+def test_timeseries_empty_activations(spark, workload):
+    _, _, _, act_pdf = workload
+    empty = spark.createDataFrame(act_pdf).limit(0)
+    got = mean_active_over_time_df(spark, empty, N_TRIALS)
+    assert got.dtypes == [("time", "bigint"), ("mean_active", "double")]
+    assert got.count() == 0

@@ -113,6 +113,15 @@ class TestICSemantics:
         with pytest.raises(ValueError):
             make_engine(kind, csr, np.ones(3))
 
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_invalid_weight_values_rejected(self, kind, model, bad):
+        csr = GRAPHS["er"]
+        w = np.full(csr.m, 0.01)
+        w[3] = bad
+        with pytest.raises(ValueError, match="finite and in"):
+            make_engine(kind, csr, w, model=model)
+
     def test_unknown_model_rejected(self, kind):
         csr = GRAPHS["er"]
         with pytest.raises(ValueError):

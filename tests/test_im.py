@@ -37,6 +37,16 @@ class TestTrialSeedBlock:
     def test_non_negative(self):
         assert (trial_seed_block(3, 100) >= 0).all()
 
+    def test_full_blocks_disjoint(self):
+        a = trial_seed_block(5, 2**20)
+        b = trial_seed_block(6, 2**20)
+        assert np.intersect1d(a, b).size == 0
+
+    @pytest.mark.parametrize("n_trials", [2**20 + 1, -1])
+    def test_block_size_out_of_range_rejected(self, n_trials):
+        with pytest.raises(ValueError):
+            trial_seed_block(5, n_trials)
+
 
 class TestEstimateSpread:
     def test_bounds(self, setup):

@@ -15,8 +15,10 @@ from repro.diffusion.rng import (
     ScalarCoins,
     base_key,
     splitmix64_py,
+    trial_bases,
     uniform_one,
     uniforms,
+    uniforms_mixed,
 )
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -93,6 +95,34 @@ class TestUniforms:
         assert np.array_equal(
             uniforms(STREAM_IC_COIN, 3, ids), uniforms(STREAM_IC_COIN, 3, ids)
         )
+
+
+class TestWrapAround:
+    """Ids, trial seeds and bases near 2**64 wrap exactly like the scalar
+    hash, with no overflow warning (pytest turns RuntimeWarning into an
+    error)."""
+
+    TOP = [(1 << 64) - 1, (1 << 64) - 2, (1 << 63) + 5, 0]
+
+    def test_uniforms(self):
+        ids = np.array(self.TOP, np.uint64)
+        for trial in self.TOP:
+            got = uniforms(STREAM_IC_COIN, trial, ids)
+            assert got.tolist() == [uniform_one(STREAM_IC_COIN, trial, i) for i in self.TOP]
+
+    def test_trial_bases(self):
+        for seeds in (self.TOP, np.array(self.TOP, np.uint64), np.array([-1, -(1 << 63), 7])):
+            got = trial_bases(STREAM_IC_COIN, seeds)
+            assert got.tolist() == [base_key(STREAM_IC_COIN, int(t)) for t in seeds]
+
+    def test_uniforms_mixed(self):
+        bases = np.array(self.TOP, np.uint64)
+        ids = np.array(self.TOP[::-1], np.uint64)
+        want = [
+            (splitmix64_py((b + i) & ((1 << 64) - 1)) >> 11) * 2.0**-53
+            for b, i in zip(self.TOP, self.TOP[::-1])
+        ]
+        assert uniforms_mixed(bases, ids).tolist() == want
 
 
 class TestScalarCoins:

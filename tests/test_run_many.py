@@ -1,8 +1,10 @@
-"""Tests for the cross-trial batched CSR kernel (run_many) and its RNG."""
+"""Tests for the cross-trial batched CSR kernel, its budgets and its RNG."""
 import numpy as np
 import pytest
+from pyspark import cloudpickle
 
-from repro.diffusion import make_engine
+from repro.diffusion import csr_engine, make_engine
+from repro.diffusion.spark_engine import run_trials_df
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     trial_bases,
@@ -69,21 +71,23 @@ def test_run_many_single_seed(ewm):
 
 
 def test_run_many_flooding_regime():
-    """Weight-1 graph floods: pilot heuristic takes the per-trial branch."""
+    """Weight-1 graph floods every trial."""
     csr = line(40)
     e = make_engine("csr", csr, np.ones(csr.m))
     block = trial_seed_block(7, 10)
     assert (e.run_many([0], block) == 40).all()
 
 
-def test_run_many_batched_regime_small_batches():
+def test_run_many_batched_regime_small_batches(monkeypatch):
+    """A state budget of 4 trials per batch splits the block 4+4+...+2."""
     csr = GRAPHS["er"]
     w = edge_weights(csr, "TV", seed=4)
     e = make_engine("csr", csr, w)
     block = trial_seed_block(8, 30)
-    a = e.run_many([2], block, batch_size=4)
-    b = e.run_many([2], block, batch_size=64)
-    assert np.array_equal(a, b)
+    b = e.run_many([2], block)
+    monkeypatch.setattr(csr_engine, "STATE_CELLS", 4 * csr.n)
+    assert [len(blk) for _, blk in e.activation_times([2], block)] == [4] * 7 + [2]
+    assert np.array_equal(e.run_many([2], block), b)
 
 
 def test_run_many_lt_fallback():
@@ -121,3 +125,56 @@ def test_run_many_star_exact_distribution():
     counts = e.run_many([0], trial_seed_block(11, 2000))
     assert counts.min() >= 1 and counts.max() <= 21
     assert abs(counts.mean() - 11.0) < 0.35
+
+
+@pytest.fixture
+def tiny_budget(monkeypatch):
+    """Blocks of at most 3 trials and pieces of at most 8 edges, so blocks
+    hold 1-3 trials and every BFS round splits into many pieces. Spark's
+    Python workers import the kernel afresh, so the module is pickled by
+    value with each task while the budgets are patched."""
+    monkeypatch.setattr(csr_engine, "STATE_CELLS", 3 * GRAPHS["er"].n)
+    monkeypatch.setattr(csr_engine, "EDGE_PIECE", 8)
+    cloudpickle.register_pickle_by_value(csr_engine)
+    yield
+    cloudpickle.unregister_pickle_by_value(csr_engine)
+
+
+def _pure_runs(csr, w, seeds, block):
+    pure = make_engine("pure_python", csr, w)
+    return [pure.run(seeds, int(t)) for t in block.tolist()]
+
+
+@pytest.mark.parametrize("ewm", EWM_NAMES)
+def test_tiny_budget_bit_equal_to_pure_python(tiny_budget, ewm):
+    csr = GRAPHS["er"]
+    w = edge_weights(csr, ewm, seed=4)
+    e = make_engine("csr", csr, w)
+    block = trial_seed_block(12, 10)
+    want = _pure_runs(csr, w, [0, 7, 23], block)
+    assert [len(b) for _, b in e.activation_times([0, 7, 23], block)] == [3, 3, 3, 1]
+    assert e.run_many([0, 7, 23], block).tolist() == [r.num_active for r in want]
+    for t, r in zip(block.tolist(), want):
+        got = e.run([0, 7, 23], t)
+        assert np.array_equal(got.activation_time, r.activation_time)
+        assert got.num_iterations == r.num_iterations
+
+
+def test_tiny_budget_spark_workers_bit_equal_to_pure_python(tiny_budget, spark):
+    csr = GRAPHS["er"]
+    w = edge_weights(csr, "UR", seed=4)
+    block = trial_seed_block(13, 10)
+    want = _pure_runs(csr, w, [0, 7], block)
+    summary = run_trials_df(spark, csr, w, [0, 7], block).toPandas().sort_values("trial")
+    assert summary["trial"].tolist() == sorted(block.tolist())
+    by_trial = dict(zip(block.tolist(), want))
+    for t, na, ni in zip(summary["trial"], summary["num_active"], summary["num_iterations"]):
+        assert (na, ni) == (by_trial[t].num_active, by_trial[t].num_iterations)
+    act = run_trials_df(spark, csr, w, [0, 7], block, output="activations").toPandas()
+    got = {(t, v, tm) for t, v, tm in act.itertuples(index=False)}
+    exp = {
+        (t, int(v), int(r.activation_time[v]))
+        for t, r in by_trial.items()
+        for v in r.active_nodes
+    }
+    assert len(act) == len(got) and got == exp
