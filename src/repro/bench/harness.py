@@ -42,21 +42,12 @@ def pick_seed_nodes(n: int, k: int, *, seed: int = 7) -> np.ndarray:
 def run_timed(engine, seeds, trial_seeds) -> tuple[float, float]:
     """(seconds, mean_spread) for running all trials on one engine.
 
-    The CSR engine runs its cross-trial batched kernel (its normal
-    operating mode for Monte-Carlo workloads); the interpreted baselines
-    loop trial-by-trial, which is all they can do — the same asymmetry
-    the paper's CyNetDiff-vs-Python comparison measures.
+    Every engine answers ``run_many``: the CSR kernel runs its cross-trial
+    batched BFS, the interpreted baselines loop trial by trial — the same
+    asymmetry the paper's CyNetDiff-vs-Python comparison measures.
     """
     t0 = time.perf_counter()
-    if isinstance(engine, SparkTrialEngine):
-        pdf = engine.run_many(seeds, trial_seeds)
-        total = int(pdf["num_active"].sum())
-    elif hasattr(engine, "run_many"):
-        total = int(engine.run_many(seeds, trial_seeds).sum())
-    else:
-        total = 0
-        for ts in np.asarray(trial_seeds).tolist():
-            total += engine.run(seeds, int(ts)).num_active
+    total = int(engine.run_many(seeds, trial_seeds).sum())
     dt = time.perf_counter() - t0
     return dt, total / len(trial_seeds)
 

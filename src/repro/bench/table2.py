@@ -90,26 +90,20 @@ def run_celf_timed(
     """
     block = trial_seed_block(base_seed, mc)
     candidates = list(range(csr.n))
+    if backend == "spark" and spark is None:
+        raise ValueError("spark backend needs a session")
+    engine = make_engine("csr" if backend == "spark" else backend, csr, weights, model=model)
+    sigma = make_sigma(engine, block)
+    t0 = time.perf_counter()
+    initial = None
     if backend == "spark":
-        if spark is None:
-            raise ValueError("spark backend needs a session")
-        local = make_engine("csr", csr, weights, model=model)
-        sigma = make_sigma(local, block)
-        t0 = time.perf_counter()
-        gains_pdf = marginal_gains_spark(
+        gains = marginal_gains_spark(
             spark, csr, weights, candidates, block, model=model
         ).toPandas()
-        initial = dict(zip(gains_pdf["candidate"], gains_pdf["sigma_hat"]))
-        res = celf(sigma, candidates, k, initial_gains=initial)
-        secs = time.perf_counter() - t0
-        n_evals = res.n_evals + len(candidates)
-    else:
-        engine = make_engine(backend, csr, weights, model=model)
-        sigma = make_sigma(engine, block)
-        t0 = time.perf_counter()
-        res = celf(sigma, candidates, k)
-        secs = time.perf_counter() - t0
-        n_evals = res.n_evals
+        initial = dict(zip(gains["candidate"], gains["sigma_hat"]))
+    res = celf(sigma, candidates, k, initial_gains=initial)
+    secs = time.perf_counter() - t0
+    n_evals = res.n_evals + (len(candidates) if initial is not None else 0)
     return Table2Row(
         ewm="?",
         backend=backend,

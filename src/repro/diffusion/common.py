@@ -42,6 +42,22 @@ class DiffusionResult:
         return np.cumsum(self.frontier_sizes())
 
 
+class PerTrialEngine:
+    """``run_many`` for the interpreted baselines: one ``run`` per trial.
+
+    Each trial keeps its own interpreted ``run`` — all these engines can
+    do, and the reason they are slow — while callers see the same
+    ``run_many(seeds, trial_seeds) -> int64[R]`` as the CSR kernel's.
+    """
+
+    def run_many(self, seeds, trial_seeds) -> np.ndarray:
+        """Activated-node counts, row ``k`` for trial ``trial_seeds[k]``."""
+        return np.array(
+            [self.run(seeds, t).num_active for t in np.asarray(trial_seeds, np.int64).tolist()],
+            np.int64,
+        )
+
+
 def validate_seeds(n: int, seeds) -> np.ndarray:
     """Normalize a seed set: int64, deduplicated, sorted, range-checked."""
     s = np.unique(np.asarray(list(seeds), dtype=np.int64))

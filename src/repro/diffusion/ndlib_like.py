@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.diffusion.common import (
     DiffusionResult,
+    PerTrialEngine,
     validate_model,
     validate_seeds,
     validate_weights,
@@ -45,7 +46,7 @@ from repro.graphs.csr import CSRGraph
 _SUSCEPTIBLE, _ACTIVE, _REMOVED = 0, 1, 2
 
 
-class NDlibLikeEngine:
+class NDlibLikeEngine(PerTrialEngine):
     """IC/LT simulator with NDlib's full-scan/full-copy iteration shape."""
 
     kind = "ndlib_like"

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.diffusion.common import (
     DiffusionResult,
+    PerTrialEngine,
     validate_model,
     validate_seeds,
     validate_weights,
@@ -25,7 +26,7 @@ from repro.diffusion.rng import (
 from repro.graphs.csr import CSRGraph
 
 
-class PurePythonEngine:
+class PurePythonEngine(PerTrialEngine):
     """IC/LT simulator with interpreted frontier BFS over Python lists."""
 
     kind = "pure_python"

@@ -5,12 +5,14 @@ Two complementary designs:
 * **Trial fan-out** (:func:`run_trials_df`, :class:`SparkTrialEngine`):
   the paper's stated future-work direction ("improve the performance of
   CyNetDiff by adding parallelism"). Monte-Carlo trials are independent,
-  so a DataFrame of trial seeds is partitioned across executors and each
-  partition runs the vectorized CSR kernel locally via Arrow-backed
-  ``mapInPandas``. The CSR arrays are shipped once per executor with
-  ``SparkContext.broadcast`` (deliberate and documented: the graph is the
-  shared read-only operand; the session fixture's disabled
-  *auto*-broadcast join threshold concerns relational joins, not this).
+  so the ids of a ``spark.range`` are partitioned across executors and
+  each partition runs the vectorized CSR kernel locally on the trials
+  those ids index, via Arrow-backed ``mapInPandas``. The CSR arrays and
+  the items are shipped once per executor with ``SparkContext.broadcast``
+  (deliberate and documented: the graph is the shared read-only operand;
+  the session fixture's disabled *auto*-broadcast join threshold concerns
+  relational joins, not this). CELF's candidate fan-out
+  (:func:`repro.im.spread.marginal_gains_spark`) runs on the same helper.
   Because coins are counter-based (``repro.diffusion.rng``), the result
   of trial ``t`` is bit-identical to a local engine run with
   ``trial_seed=t`` regardless of partitioning.
@@ -26,7 +28,7 @@ Two complementary designs:
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -34,7 +36,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from repro.diffusion.common import validate_model, validate_seeds
+from repro.diffusion.common import validate_model, validate_seeds, validate_weights
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
 from repro.graphs.csr import CSRGraph
@@ -56,13 +58,38 @@ ACTIVATION_SCHEMA = StructType(
 )
 
 
-def _trial_seeds_df(spark: SparkSession, trial_seeds) -> DataFrame:
-    """Trial seeds as a one-column DataFrame spread over the default parallelism."""
-    seeds = [int(t) for t in trial_seeds]
-    num_part = max(1, min(len(seeds), spark.sparkContext.defaultParallelism))
-    return spark.createDataFrame(
-        pd.DataFrame({"trial": pd.Series(seeds, dtype="int64")})
-    ).repartition(num_part)
+def _fan_out(
+    spark: SparkSession,
+    csr: CSRGraph,
+    weights: np.ndarray,
+    model: str,
+    items: np.ndarray,
+    evaluate: Callable[[CSREngine, np.ndarray], Iterator[pd.DataFrame]],
+    schema: StructType,
+) -> DataFrame:
+    """Map ``evaluate(engine, items[ids])`` over ``items`` in Spark partitions.
+
+    ``(csr, weights, model, items)`` is broadcast once, after the weights
+    are checked on the driver; the rows are just ``spark.range`` ids, so
+    no driver-side frame is built or shuffled.
+    Each partition rebuilds one :class:`CSREngine` from the broadcast and
+    hands it the items of its id batches.
+    """
+    items = np.asarray(items, np.int64)
+    payload = spark.sparkContext.broadcast(
+        (csr, validate_weights(csr, weights), model, items)
+    )
+
+    def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        csr, weights, model, items = payload.value
+        engine = CSREngine(csr, weights, model=model)
+        for batch in batches:
+            yield from evaluate(engine, items[batch["id"].to_numpy()])
+
+    num_part = max(1, min(items.size, spark.sparkContext.defaultParallelism))
+    return spark.range(items.size, numPartitions=num_part).mapInPandas(
+        run_partition, schema
+    )
 
 
 def run_trials_df(
@@ -82,65 +109,41 @@ def run_trials_df(
             ``"activations"`` -> one row per activated node
             (trial, node, time), the input to heatmap/timeseries analytics.
 
-    Returns a lazily-evaluated DataFrame; each partition instantiates one
-    :class:`CSREngine` from the broadcast CSR arrays and runs its trials
+    Returns a lazily-evaluated DataFrame; each partition runs its trials
     through :meth:`CSREngine.activation_times` (batched for IC).
     """
     model = validate_model(model)
     seeds = validate_seeds(csr.n, seeds)
     if output not in ("summary", "activations"):
         raise ValueError(f"output must be summary|activations, got {output!r}")
-    payload = spark.sparkContext.broadcast(
-        {
-            "n": csr.n,
-            "indptr": csr.indptr,
-            "indices": csr.indices,
-            "weights": np.asarray(weights, np.float64),
-            "seeds": seeds,
-            "model": model,
-        }
-    )
     want_summary = output == "summary"
 
-    def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        p = payload.value
-        engine = CSREngine(
-            CSRGraph(n=p["n"], indptr=p["indptr"], indices=p["indices"]),
-            p["weights"],
-            model=p["model"],
-        )
-        for batch in batches:
-            trials = batch["trial"].to_numpy(np.int64)
-            for lo, block in engine.activation_times(p["seeds"], trials):
-                tr = trials[lo : lo + len(block)]
-                if want_summary:
-                    yield pd.DataFrame(
-                        {
-                            "trial": tr,
-                            "num_active": (block >= 0).sum(axis=1),
-                            "num_iterations": block.max(axis=1).astype(np.int64),
-                        }
-                    )
-                else:
-                    k, nodes = np.nonzero(block >= 0)
-                    yield pd.DataFrame(
-                        {
-                            "trial": tr[k],
-                            "node": nodes,
-                            "time": block[k, nodes],
-                        }
-                    )
+    def evaluate(engine: CSREngine, trials: np.ndarray) -> Iterator[pd.DataFrame]:
+        for lo, block in engine.activation_times(seeds, trials):
+            tr = trials[lo : lo + len(block)]
+            if want_summary:
+                yield pd.DataFrame(
+                    {
+                        "trial": tr,
+                        "num_active": (block >= 0).sum(axis=1),
+                        "num_iterations": block.max(axis=1).astype(np.int64),
+                    }
+                )
+            else:
+                k, nodes = np.nonzero(block >= 0)
+                yield pd.DataFrame(
+                    {"trial": tr[k], "node": nodes, "time": block[k, nodes]}
+                )
 
     schema = SUMMARY_SCHEMA if want_summary else ACTIVATION_SCHEMA
-    return _trial_seeds_df(spark, trial_seeds).mapInPandas(run_partition, schema)
+    return _fan_out(spark, csr, weights, model, trial_seeds, evaluate, schema)
 
 
 class SparkTrialEngine:
-    """Engine-protocol adapter running batches of trials through Spark.
+    """Engine-protocol adapter running a block of trials through Spark.
 
-    ``run_many(seeds, trial_seeds)`` returns the per-trial summary as
-    pandas; ``spread(seeds, trial_seeds)`` is the Monte-Carlo influence
-    estimate used by the Spark CELF backend and by Table 1's extra column.
+    ``run_many(seeds, trial_seeds)`` answers like every other engine: the
+    activated-node count of each trial, in the order of ``trial_seeds``.
     """
 
     kind = "spark"
@@ -153,16 +156,17 @@ class SparkTrialEngine:
         self.weights = np.asarray(weights, np.float64)
         self.model = validate_model(model)
 
-    def run_many(self, seeds, trial_seeds) -> pd.DataFrame:
-        """Collect (trial, num_active, num_iterations), ordered by trial."""
-        df = run_trials_df(
-            self.spark, self.csr, self.weights, seeds, trial_seeds, model=self.model
-        )
-        return df.toPandas().sort_values("trial").reset_index(drop=True)
+    def run_many(self, seeds, trial_seeds) -> np.ndarray:
+        """int64 counts, row ``k`` for trial ``trial_seeds[k]``.
 
-    def spread(self, seeds, trial_seeds) -> float:
-        """Mean number of activated nodes across trials."""
-        return float(self.run_many(seeds, trial_seeds)["num_active"].mean())
+        Each distinct trial seed runs once on Spark; the collected rows,
+        sorted by trial, are then spread back over the block.
+        """
+        trials, pos = np.unique(np.asarray(trial_seeds, np.int64), return_inverse=True)
+        pdf = run_trials_df(
+            self.spark, self.csr, self.weights, seeds, trials, model=self.model
+        ).toPandas()
+        return pdf.sort_values("trial")["num_active"].to_numpy(np.int64)[pos]
 
 
 def sample_live_edges(

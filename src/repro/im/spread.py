@@ -17,9 +17,10 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.diffusion.common import validate_model
+from repro.diffusion.common import validate_model, validate_seeds
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import splitmix64_py
+from repro.diffusion.spark_engine import _fan_out
 from repro.graphs.csr import CSRGraph
 
 
@@ -39,31 +40,30 @@ def trial_seed_block(base_seed: int, n_trials: int) -> np.ndarray:
     )
 
 
-def estimate_spread(engine, seeds, trial_seeds) -> float:
-    """Mean activated count over ``trial_seeds`` using a local engine.
+def _crn_block(trial_seeds) -> np.ndarray:
+    """The CRN trial block as int64; an empty block has no mean."""
+    block = np.asarray(trial_seeds, np.int64)
+    if block.size == 0:
+        raise ValueError("trial block must be non-empty")
+    return block
 
-    Engines exposing a batched ``run_many`` (the CSR kernel) evaluate all
-    trials in one cross-trial vectorized BFS; the interpreted baselines
-    loop — that difference is precisely what Table 2 measures.
+
+def estimate_spread(engine, seeds, trial_seeds) -> float:
+    """Mean activated count of ``engine.run_many`` over ``trial_seeds``.
+
+    The CSR kernel evaluates all trials in one cross-trial vectorized BFS;
+    the interpreted baselines loop trial by trial — that difference is
+    precisely what Table 2 measures.
     """
-    if hasattr(engine, "spread"):  # SparkTrialEngine
-        return float(engine.spread(seeds, trial_seeds))
-    if hasattr(engine, "run_many"):
-        return float(engine.run_many(seeds, trial_seeds).mean())
-    total = 0
-    for t in np.asarray(trial_seeds).tolist():
-        total += engine.run(seeds, int(t)).num_active
-    return total / len(trial_seeds)
+    return float(engine.run_many(seeds, _crn_block(trial_seeds)).mean())
 
 
 def make_sigma(engine, trial_seeds) -> Callable[[Sequence[int]], float]:
     """Bind an engine + CRN trial block into a sigma-hat(S) callable."""
-    block = np.asarray(trial_seeds, np.int64)
+    block = _crn_block(trial_seeds)
 
     def sigma(seed_set: Sequence[int]) -> float:
-        if hasattr(engine, "spread"):  # SparkTrialEngine
-            return engine.spread(seed_set, block)
-        return estimate_spread(engine, seed_set, block)
+        return float(engine.run_many(seed_set, block).mean())
 
     return sigma
 
@@ -86,46 +86,21 @@ def marginal_gains_spark(
     base_seeds: Sequence[int] = (),
     model: str = "ic",
 ) -> DataFrame:
-    """sigma-hat(base_seeds + {c}) for every candidate, in parallel.
+    """sigma-hat(base_seeds + {c}) for every distinct candidate, in parallel.
 
     This is CELF's dominant cost — the first pass evaluates every node —
     and it is embarrassingly parallel over candidates, so candidates are
-    fanned out with ``mapInPandas`` while each worker runs the CSR kernel
-    over the shared CRN trial block. Returns (candidate, sigma_hat).
+    fanned out over Spark partitions while each worker runs the CSR kernel
+    over the shared CRN trial block. Seeds and the block are checked here,
+    on the driver. Returns (candidate, sigma_hat).
     """
     model = validate_model(model)
-    payload = spark.sparkContext.broadcast(
-        {
-            "n": csr.n,
-            "indptr": csr.indptr,
-            "indices": csr.indices,
-            "weights": np.asarray(weights, np.float64),
-            "base": [int(b) for b in base_seeds],
-            "trials": [int(t) for t in np.asarray(trial_seeds).tolist()],
-            "model": model,
-        }
-    )
+    block = _crn_block(trial_seeds)
+    candidates = validate_seeds(csr.n, candidates)
+    base = validate_seeds(csr.n, base_seeds) if len(base_seeds) else np.empty(0, np.int64)
 
-    def eval_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        p = payload.value
-        engine = CSREngine(
-            CSRGraph(n=p["n"], indptr=p["indptr"], indices=p["indices"]),
-            p["weights"],
-            model=p["model"],
-        )
-        for batch in batches:
-            out = []
-            for c in batch["candidate"].tolist():
-                seeds = sorted(set(p["base"]) | {int(c)})
-                out.append(
-                    (int(c), float(engine.run_many(seeds, p["trials"]).mean()))
-                )
-            yield pd.DataFrame(out, columns=["candidate", "sigma_hat"])
+    def evaluate(engine: CSREngine, cands: np.ndarray) -> Iterator[pd.DataFrame]:
+        sigma_hat = [engine.run_many(np.append(base, c), block).mean() for c in cands]
+        yield pd.DataFrame({"candidate": cands, "sigma_hat": sigma_hat})
 
-    cand_pdf = pd.DataFrame({"candidate": pd.Series([int(c) for c in candidates], dtype="int64")})
-    num_part = max(1, min(len(cand_pdf), spark.sparkContext.defaultParallelism))
-    return (
-        spark.createDataFrame(cand_pdf)
-        .repartition(num_part)
-        .mapInPandas(eval_partition, _GAINS_SCHEMA)
-    )
+    return _fan_out(spark, csr, weights, model, candidates, evaluate, _GAINS_SCHEMA)

@@ -1,8 +1,12 @@
-"""Shared SparkSession bootstrap for spark-submit entrypoints.
+"""The one SparkSession configuration shared by tests and jobs.
 
-Mirrors the test fixture's configuration (see conftest.py) so jobs and
-tests exercise the same Spark settings; under spark-submit the master and
-driver memory come from the submit command line instead.
+Master and driver memory are read at JVM launch, so they come from the
+command line (spark-submit, or ``PYSPARK_SUBMIT_ARGS`` in tests). The
+settings here are honoured after launch: shuffle partitions
+(``SPARK_SHUFFLE_PARTITIONS``, default 64), Arrow-backed pandas transfer,
+and no automatic broadcast joins, so the DataFrame frontier engine
+exercises shuffle joins; the trial fan-out broadcasts its operands
+explicitly.
 """
 from __future__ import annotations
 

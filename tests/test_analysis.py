@@ -139,3 +139,10 @@ def test_timeseries_empty_activations(spark, workload):
     got = mean_active_over_time_df(spark, empty, N_TRIALS)
     assert got.dtypes == [("time", "bigint"), ("mean_active", "double")]
     assert got.count() == 0
+
+
+def test_timeseries_plans_no_cartesian_product(spark, workload):
+    _, _, _, act_pdf = workload
+    got = mean_active_over_time_df(spark, spark.createDataFrame(act_pdf), N_TRIALS)
+    plan = got._jdf.queryExecution().executedPlan().toString()
+    assert "CartesianProduct" not in plan and "NestedLoopJoin" not in plan

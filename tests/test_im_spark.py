@@ -35,6 +35,15 @@ def test_marginal_gains_with_base_seeds(spark, workload):
         assert estimate_spread(local, [0, 1, int(c)], block) == pytest.approx(s)
 
 
+@pytest.mark.parametrize(
+    "candidates, base_seeds", [([0, 80], ()), ([-1], ()), ([0, 1], [80])]
+)
+def test_invalid_seeds_rejected_eagerly(spark, workload, candidates, base_seeds):
+    csr, w, block = workload
+    with pytest.raises(ValueError):
+        marginal_gains_spark(spark, csr, w, candidates, block, base_seeds=base_seeds)
+
+
 def test_spark_celf_backend_matches_local(spark, workload):
     """CELF seeded with Spark-computed initial gains == fully-local CELF."""
     csr, w, block = workload

@@ -7,7 +7,7 @@ from repro.diffusion.spark_engine import SparkTrialEngine, run_trials_df
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights, normalize_for_lt
-from repro.im.spread import trial_seed_block
+from repro.im.spread import estimate_spread, trial_seed_block
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +19,7 @@ def workload():
 def test_summary_matches_local_engine_per_trial(spark, workload):
     csr, w, seeds, block = workload
     local = make_engine("csr", csr, w, model="ic")
-    pdf = SparkTrialEngine(spark, csr, w, model="ic").run_many(seeds, block)
+    pdf = run_trials_df(spark, csr, w, seeds, block, model="ic").toPandas()
     assert len(pdf) == len(block)
     for t, na, ni in zip(pdf["trial"], pdf["num_active"], pdf["num_iterations"]):
         r = local.run(seeds, int(t))
@@ -31,7 +31,7 @@ def test_lt_summary_matches_local(spark, workload):
     csr, w, seeds, block = workload
     wlt = normalize_for_lt(csr, w)
     local = make_engine("csr", csr, wlt, model="lt")
-    pdf = SparkTrialEngine(spark, csr, wlt, model="lt").run_many(seeds, block[:10])
+    pdf = run_trials_df(spark, csr, wlt, seeds, block[:10], model="lt").toPandas()
     for t, na in zip(pdf["trial"], pdf["num_active"]):
         assert local.run(seeds, int(t)).num_active == na
 
@@ -74,8 +74,8 @@ def test_results_independent_of_partitioning(spark, workload):
 def test_spread_is_mean_num_active(spark, workload):
     csr, w, seeds, block = workload
     eng = SparkTrialEngine(spark, csr, w, model="ic")
-    pdf = eng.run_many(seeds, block)
-    assert eng.spread(seeds, block) == pytest.approx(pdf["num_active"].mean())
+    pdf = run_trials_df(spark, csr, w, seeds, block).toPandas()
+    assert estimate_spread(eng, seeds, block) == pytest.approx(pdf["num_active"].mean())
 
 
 def test_invalid_output_mode_rejected(spark, workload):
@@ -88,6 +88,12 @@ def test_invalid_seeds_rejected_eagerly(spark, workload):
     csr, w, _, block = workload
     with pytest.raises(ValueError):
         run_trials_df(spark, csr, w, [csr.n + 1], block)
+
+
+def test_invalid_weights_rejected_eagerly(spark, workload):
+    csr, w, seeds, block = workload
+    with pytest.raises(ValueError):
+        run_trials_df(spark, csr, w + 1.0, seeds, block)
 
 
 def test_summary_schema(spark, workload):

@@ -1,6 +1,7 @@
 """Spark graph I/O tests (S4), every relational result oracle-checked."""
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi, watts_strogatz
@@ -13,6 +14,18 @@ from repro.graphs.spark_io import (
 )
 from repro.graphs.weights import weighted_cascade
 from repro.oracle import assert_equivalent
+
+
+DEGREE_SQL = """
+    SELECT n.node,
+           COALESCE(o.c, 0) AS out_degree,
+           COALESCE(i.c, 0) AS in_degree
+    FROM nodes n
+    LEFT JOIN (SELECT src AS node, COUNT(*) AS c FROM edges GROUP BY src) o
+      ON n.node = o.node
+    LEFT JOIN (SELECT dst AS node, COUNT(*) AS c FROM edges GROUP BY dst) i
+      ON n.node = i.node
+"""
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +58,21 @@ def test_degree_df_against_oracle(spark, csr):
     nodes_pdf = nodes_df(spark, csr).toPandas()
     assert_equivalent(
         degree_df(spark, csr),
-        """
-        SELECT n.node,
-               COALESCE(o.c, 0) AS out_degree,
-               COALESCE(i.c, 0) AS in_degree
-        FROM nodes n
-        LEFT JOIN (SELECT src AS node, COUNT(*) AS c FROM edges GROUP BY src) o
-          ON n.node = o.node
-        LEFT JOIN (SELECT dst AS node, COUNT(*) AS c FROM edges GROUP BY dst) i
-          ON n.node = i.node
-        """,
+        DEGREE_SQL,
         edges=edges_pdf,
         nodes=nodes_pdf,
     )
+
+
+def test_oracle_catches_wrong_result(spark, csr):
+    wrong = degree_df(spark, csr).withColumn("in_degree", F.col("in_degree") + 1)
+    with pytest.raises(AssertionError):
+        assert_equivalent(
+            wrong,
+            DEGREE_SQL,
+            edges=edges_to_pdf(csr),
+            nodes=nodes_df(spark, csr).toPandas(),
+        )
 
 
 def test_degree_df_matches_csr_methods(spark, csr):
