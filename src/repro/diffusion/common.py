@@ -71,15 +71,27 @@ def validate_seeds(n: int, seeds) -> np.ndarray:
 def validate_weights(csr, weights) -> np.ndarray:
     """Check edge weights are ``(m,)`` probabilities; return them as float64.
 
-    LT's extra condition (incoming weights of a node sum to at most 1) is
-    left to :func:`repro.diffusion.exact.exact_lt` and
-    :func:`repro.graphs.weights.normalize_for_lt`.
+    The threshold engines take any such weights. LT's extra condition is
+    checked by :func:`validate_lt_weights` where a result depends on it.
     """
     w = np.asarray(weights, np.float64)
     if w.shape != (csr.m,):
         raise ValueError(f"weights must be ({csr.m},), got {w.shape}")
     if not np.isfinite(w).all() or (w < 0).any() or (w > 1).any():
         raise ValueError("weights must be finite and in [0, 1]")
+    return w
+
+
+def validate_lt_weights(csr, weights) -> np.ndarray:
+    """:func:`validate_weights`, plus LT's live-edge condition: each node's
+    incoming weights sum to at most 1, up to 1e-9 of float error (see
+    :func:`repro.graphs.weights.normalize_for_lt`)."""
+    w = validate_weights(csr, weights)
+    incoming = np.bincount(csr.indices, weights=w, minlength=csr.n)
+    over = np.flatnonzero(incoming > 1.0 + 1e-9)
+    if over.size:
+        v = int(over[0])
+        raise ValueError(f"LT weights into node {v} sum to {incoming[v]} > 1")
     return w
 
 

@@ -7,12 +7,13 @@ work proportional to the edges incident to active nodes, not to |V| or |E|.
 Compiled NumPy vector loops stand in for CyNetDiff's compiled Cython scalar
 loops; the algorithm and data layout are the paper's.
 
-IC runs as one BFS over (trial, node) pairs for a whole batch of trials:
-cross-trial vectorization is how a NumPy kernel recovers the throughput a
-compiled scalar kernel gets for free. Two module budgets bound its working
-set: ``STATE_CELLS`` caps the activation cells of one batch (so trials per
-batch shrink as graphs grow) and ``EDGE_PIECE`` caps the out-edges gathered
-at once within a BFS round (so flooding cascades stay cache-sized).
+IC and LT run as one BFS over (trial, node) pairs for a whole batch of
+trials: cross-trial vectorization is how a NumPy kernel recovers the
+throughput a compiled scalar kernel gets for free. The models differ in one
+step per piece of a round: an IC edge coin, or an LT weight push and
+threshold test. ``STATE_CELLS`` caps the activation cells of one batch (so
+trials per batch shrink as graphs grow) and ``EDGE_PIECE`` the out-edges
+gathered at once within a round (so flooding cascades stay cache-sized).
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ from repro.diffusion.common import (
     validate_seeds,
     validate_weights,
 )
-from repro.diffusion.rng import (
+# ``uniforms`` is unused here but stays importable: perfbench/tracing.py
+# wraps ``csr_engine.uniforms`` by name.
+from repro.diffusion.rng import (  # noqa: F401
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
     trial_bases,
@@ -35,15 +38,17 @@ from repro.diffusion.rng import (
 )
 from repro.graphs.csr import CSRGraph
 
-# int32 activation cells (trials x nodes) per batch: 16 MiB of state, plus
-# as much again for the dedup owner array.
+# Activation cells (trials x nodes) per batch: 16 MiB of int32 state, as
+# much again for the dedup owner array and, for LT, 32 MiB of float64
+# pushed-weight sums.
 STATE_CELLS = 1 << 22
-# Out-edges gathered per piece of a BFS round, so a flooding round's
-# temporaries stay cache-sized: on a 4-core Xeon, Table 1's FB UR cell
-# (100 trials) took 0.42-0.50 s with pieces of 2**13-2**16 edges, within
-# noise of each other, and 1.02 s unpieced. A later piece sees the earlier
-# pieces' activations, which only drops duplicate targets, so the pieces
-# never change a result.
+# Out-edges gathered per piece of a BFS round: on a 4-core Xeon, Table 1's
+# FB UR cell (100 trials) took 0.42-0.50 s with pieces of 2**13-2**16 edges,
+# within noise of each other, and 1.02 s unpieced. A later piece sees the
+# earlier pieces' activations, which only drops pushes into active nodes;
+# and rounded sums of non-negative LT weights only grow, so a node whose
+# partial sum reaches its threshold would reach it with the full sum too.
+# The pieces never change a result.
 EDGE_PIECE = 1 << 14
 
 
@@ -55,13 +60,21 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1], dtype=np.int64) + (starts - ends + counts).repeat(counts)
 
 
+def _unique_cells(cells: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """One copy of each of ``cells`` via scratch ``owner``: of repeated
+    writes to a cell exactly one lands, whichever order NumPy uses."""
+    k = np.arange(cells.size, dtype=np.int32)
+    owner[cells] = k
+    return cells[owner[cells] == k]
+
+
 class CSREngine:
     """IC/LT simulator over CSR with vectorized frontier BFS.
 
     Construction (graph + weights capture) is the analog of CyNetDiff's
     model-class instantiation and is excluded from per-trial timings, as
-    in the paper's benchmarks. Every IC entry point runs the batched
-    kernel (:meth:`activation_times`); LT runs one trial at a time.
+    in the paper's benchmarks. Every entry point, for both models, runs
+    the batched kernel (:meth:`activation_times`).
     """
 
     kind = "csr"
@@ -96,22 +109,22 @@ class CSREngine:
         number of iterations ``row.max()``.
         """
         seeds = validate_seeds(self.csr.n, seeds)
-        if self.model != "ic":
-            for k, t in enumerate(trial_seeds):
-                yield k, self._run_lt(seeds, int(t)).activation_time[None]
-            return
-        bases = trial_bases(STREAM_IC_COIN, trial_seeds)
+        stream = STREAM_IC_COIN if self.model == "ic" else STREAM_LT_THRESHOLD
+        bases = trial_bases(stream, trial_seeds)
         step = max(1, min(bases.size, STATE_CELLS // self.csr.n))
         for lo in range(0, bases.size, step):
-            yield lo, self._ic_block(seeds, bases[lo : lo + step])
+            yield lo, self._block(seeds, bases[lo : lo + step])
 
-    def _ic_block(self, seeds: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        """One IC BFS over (trial, node) pairs for the trials of ``bases``."""
+    def _block(self, seeds: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        """One BFS over (trial, node) pairs for the trials of ``bases``."""
         indptr, indices, w, n = self.csr.indptr, self.csr.indices, self.weights, self.csr.n
+        lt = self.model == "lt"
         T = bases.size
-        # Flat state: cell trial*n + node holds the node's activation time.
+        # Flat state: cell trial*n + node holds the node's activation time
+        # and, for LT, the weight pushed into it so far.
         act = np.full(T * n, -1, np.int32)
         owner = np.empty(T * n, np.int32)
+        acc = np.zeros(T * n, np.float64) if lt else None
         frontier = (np.arange(T, dtype=np.int64)[:, None] * n + seeds).ravel()
         act[frontier] = 0
         t = 0
@@ -129,49 +142,28 @@ class CSREngine:
                 hi = max(hi, lo + 1)
                 eids = _ragged_arange(starts[lo:hi], counts[lo:hi])
                 pair_trial = f_trial[lo:hi].repeat(counts[lo:hi])
-                hit = (uniforms_mixed(bases[pair_trial], eids) < w[eids]).nonzero()[0]
-                tgt = pair_trial[hit] * n + indices[eids[hit]]
-                tgt = tgt[act[tgt] < 0]
-                # Keep one copy of each target: of repeated writes to a
-                # cell exactly one lands, whichever order NumPy uses.
-                k = np.arange(tgt.size, dtype=np.int32)
-                owner[tgt] = k
-                tgt = tgt[owner[tgt] == k]
+                if lt:
+                    # Push into inactive targets (np.add.at adds in pair
+                    # order), then test each target once against its threshold.
+                    tgt = pair_trial * n + indices[eids]
+                    live = act[tgt] < 0
+                    tgt = tgt[live]
+                    np.add.at(acc, tgt, w[eids[live]])
+                    tgt = _unique_cells(tgt, owner)
+                    trial, node = np.divmod(tgt, n)
+                    tgt = tgt[acc[tgt] >= uniforms_mixed(bases[trial], node)]
+                else:
+                    hit = (uniforms_mixed(bases[pair_trial], eids) < w[eids]).nonzero()[0]
+                    tgt = pair_trial[hit] * n + indices[eids[hit]]
+                    tgt = _unique_cells(tgt[act[tgt] < 0], owner)
                 act[tgt] = t + 1
                 pieces.append(tgt)
                 lo = hi
             frontier = np.concatenate(pieces)
+            if lt:
+                # Sorted sources, then CSR edge order: each node's incoming
+                # weights add up in the order the baselines add them.
+                frontier.sort()
             if frontier.size:
                 t += 1
         return act.reshape(T, n)
-
-    def _run_lt(self, seeds: np.ndarray, trial_seed: int) -> DiffusionResult:
-        csr, w = self.csr, self.weights
-        act_time = np.full(csr.n, -1, np.int32)
-        act_time[seeds] = 0
-        # Push-based LT: when u activates we push w(u->v) into acc[v] once
-        # (each source activates at most once), then compare against the
-        # node's threshold. Thresholds are coin-stream uniforms keyed by
-        # node id, so every engine draws the same theta_v.
-        acc = np.zeros(csr.n, np.float64)
-        frontier, t = seeds, 0
-        while frontier.size:
-            starts = csr.indptr[frontier]
-            eids = _ragged_arange(starts, csr.indptr[frontier + 1] - starts)
-            if eids.size == 0:
-                break
-            targets_all = csr.indices[eids]
-            live = act_time[targets_all] < 0
-            eids, targets_all = eids[live], targets_all[live]
-            np.add.at(acc, targets_all, w[eids])
-            cand = np.unique(targets_all)
-            if cand.size == 0:
-                break
-            theta = uniforms(STREAM_LT_THRESHOLD, trial_seed, cand)
-            newly = cand[acc[cand] >= theta]
-            if newly.size == 0:
-                break
-            t += 1
-            act_time[newly] = t
-            frontier = newly
-        return DiffusionResult(activation_time=act_time, num_iterations=t)

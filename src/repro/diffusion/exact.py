@@ -19,6 +19,7 @@ import itertools
 
 import numpy as np
 
+from repro.diffusion.common import validate_lt_weights
 from repro.graphs.csr import CSRGraph
 
 
@@ -66,8 +67,9 @@ def exact_lt(csr: CSRGraph, weights: np.ndarray, seeds) -> tuple[float, np.ndarr
 
     Enumerates the product over nodes of (in_degree + 1) live-edge picks;
     feasible when that product is <= ~200k. Requires incoming weights to
-    sum to <= 1 per node (use ``normalize_for_lt``).
+    sum to <= 1 per node (use ``normalize_for_lt``); raises otherwise.
     """
+    weights = validate_lt_weights(csr, weights)
     rev = csr.reverse()
     seeds = np.asarray(seeds, np.int64)
     choices: list[list[tuple[float, tuple[int, int] | None]]] = []
@@ -80,8 +82,6 @@ def exact_lt(csr: CSRGraph, weights: np.ndarray, seeds) -> tuple[float, np.ndarr
             w = float(weights[eid])
             opts.append((w, (u, v)))
             s += w
-        if s > 1.0 + 1e-9:
-            raise ValueError(f"LT weights into node {v} sum to {s} > 1")
         opts.append((max(0.0, 1.0 - s), None))
         choices.append(opts)
         total *= len(opts)

@@ -114,12 +114,6 @@ def uniforms_mixed(bases: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return _to_uniform(_splitmix64_np(x))
 
 
-def uniform_one(stream: int, trial_seed: int, id_: int) -> float:
-    """Scalar twin of :func:`uniforms` for the interpreted engines."""
-    h = splitmix64_py((base_key(stream, trial_seed) + id_) & _MASK)
-    return (h >> 11) * _INV_2_53
-
-
 class ScalarCoins:
     """Per-trial scalar coin stream for the interpreted engines.
 

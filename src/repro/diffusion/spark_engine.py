@@ -36,7 +36,12 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from repro.diffusion.common import validate_model, validate_seeds, validate_weights
+from repro.diffusion.common import (
+    validate_lt_weights,
+    validate_model,
+    validate_seeds,
+    validate_weights,
+)
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
 from repro.graphs.csr import CSRGraph
@@ -110,7 +115,8 @@ def run_trials_df(
             (trial, node, time), the input to heatmap/timeseries analytics.
 
     Returns a lazily-evaluated DataFrame; each partition runs its trials
-    through :meth:`CSREngine.activation_times` (batched for IC).
+    through :meth:`CSREngine.activation_times`, the batched kernel of both
+    models.
     """
     model = validate_model(model)
     seeds = validate_seeds(csr.n, seeds)
@@ -180,14 +186,16 @@ def sample_live_edges(
 
     LT: each node picks at most one incoming edge (edge e with
     probability w_e), per Kempe et al.'s live-edge theorem; equality with
-    the threshold engines is distributional, not per-trial.
+    the threshold engines is distributional, not per-trial. The picks are
+    a distribution only if each node's incoming weights sum to at most 1,
+    so LT weights must pass :func:`validate_lt_weights`.
     """
     model = validate_model(model)
-    w = np.asarray(weights, np.float64)
     if model == "ic":
         eids = np.arange(csr.m, dtype=np.int64)
-        live = uniforms(STREAM_IC_COIN, trial_seed, eids) < w
+        live = uniforms(STREAM_IC_COIN, trial_seed, eids) < validate_weights(csr, weights)
         return csr.edge_array()[live]
+    w = validate_lt_weights(csr, weights)
     rev = csr.reverse()
     u_pick = uniforms(STREAM_LT_PICK, trial_seed, np.arange(csr.n, dtype=np.int64))
     picked: list[tuple[int, int]] = []

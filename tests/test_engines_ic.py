@@ -170,11 +170,11 @@ def test_result_helpers_consistent():
 
 def test_tiny_graph_hand_trace():
     """Single edge with weight w: activation iff coin(edge 0) < w."""
-    from repro.diffusion.rng import STREAM_IC_COIN, uniform_one
+    from repro.diffusion.rng import STREAM_IC_COIN, ScalarCoins
 
     csr = from_edges(2, [[0, 1]])
     for trial in range(50):
-        coin = uniform_one(STREAM_IC_COIN, trial, 0)
+        coin = ScalarCoins(STREAM_IC_COIN, trial).u(0)
         for w, expect in ((0.3, coin < 0.3), (0.9, coin < 0.9)):
             r = make_engine("csr", csr, np.array([w])).run([0], trial)
             assert (r.num_active == 2) == expect

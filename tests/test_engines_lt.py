@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion import ENGINE_KINDS, make_engine
-from repro.diffusion.rng import STREAM_LT_THRESHOLD, uniform_one
+from repro.diffusion.rng import STREAM_LT_THRESHOLD, ScalarCoins
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi, watts_strogatz
 from repro.graphs.weights import EWM_NAMES, edge_weights, normalize_for_lt
@@ -51,7 +51,7 @@ class TestLTSemantics:
     def test_single_edge_threshold_decides(self, kind):
         csr = from_edges(2, [[0, 1]])
         for trial in range(40):
-            theta = uniform_one(STREAM_LT_THRESHOLD, trial, 1)
+            theta = ScalarCoins(STREAM_LT_THRESHOLD, trial).u(1)
             r = make_engine(kind, csr, np.array([0.5]), model="lt").run([0], trial)
             assert (r.num_active == 2) == (0.5 >= theta)
 
@@ -96,7 +96,7 @@ def test_lt_activation_rule_holds_posthoc(trial):
         eids, srcs = rev.in_edges(v)
         if eids.size == 0:
             continue
-        theta = uniform_one(STREAM_LT_THRESHOLD, trial, v)
+        theta = ScalarCoins(STREAM_LT_THRESHOLD, trial).u(v)
         if t[v] > 0:
             earlier = sum(
                 w[e]

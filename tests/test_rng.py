@@ -16,7 +16,6 @@ from repro.diffusion.rng import (
     base_key,
     splitmix64_py,
     trial_bases,
-    uniform_one,
     uniforms,
     uniforms_mixed,
 )
@@ -69,13 +68,13 @@ class TestUniforms:
         ids = np.arange(500)
         vec = uniforms(STREAM_IC_COIN, 99, ids)
         for i in range(0, 500, 37):
-            assert uniform_one(STREAM_IC_COIN, 99, i) == vec[i]
+            assert ScalarCoins(STREAM_IC_COIN, 99).u(i) == vec[i]
 
     @given(st.integers(0, 2**62), st.integers(0, 2**30))
     @settings(max_examples=60, deadline=None)
     def test_scalar_vector_bit_equality_property(self, trial, id_):
         vec = uniforms(STREAM_IC_COIN, trial, np.array([id_]))
-        assert uniform_one(STREAM_IC_COIN, trial, id_) == vec[0]
+        assert ScalarCoins(STREAM_IC_COIN, trial).u(id_) == vec[0]
 
     def test_streams_decorrelated(self):
         ids = np.arange(2000)
@@ -108,7 +107,8 @@ class TestWrapAround:
         ids = np.array(self.TOP, np.uint64)
         for trial in self.TOP:
             got = uniforms(STREAM_IC_COIN, trial, ids)
-            assert got.tolist() == [uniform_one(STREAM_IC_COIN, trial, i) for i in self.TOP]
+            coins = ScalarCoins(STREAM_IC_COIN, trial)
+            assert got.tolist() == [coins.u(i) for i in self.TOP]
 
     def test_trial_bases(self):
         for seeds in (self.TOP, np.array(self.TOP, np.uint64), np.array([-1, -(1 << 63), 7])):
@@ -126,10 +126,11 @@ class TestWrapAround:
 
 
 class TestScalarCoins:
-    def test_matches_uniform_one(self):
+    def test_matches_hash_formula(self):
         coins = ScalarCoins(STREAM_IC_COIN, 12345)
+        base = base_key(STREAM_IC_COIN, 12345)
         for i in [0, 1, 17, 999, 123456]:
-            assert coins.u(i) == uniform_one(STREAM_IC_COIN, 12345, i)
+            assert coins.u(i) == (splitmix64_py(base + i) >> 11) * 2.0**-53
 
     def test_base_key_consistency(self):
         assert base_key(STREAM_IC_COIN, 7) == base_key(STREAM_IC_COIN, 7)

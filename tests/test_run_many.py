@@ -1,4 +1,5 @@
-"""Tests for the cross-trial batched CSR kernel, its budgets and its RNG."""
+"""Tests for the cross-trial batched CSR kernel (IC and LT), its budgets and
+its RNG."""
 import numpy as np
 import pytest
 from pyspark import cloudpickle
@@ -7,6 +8,8 @@ from repro.diffusion import csr_engine, make_engine
 from repro.diffusion.spark_engine import run_trials_df
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
+    STREAM_LT_THRESHOLD,
+    ScalarCoins,
     trial_bases,
     uniforms,
     uniforms_mixed,
@@ -16,7 +19,7 @@ from repro.graphs.generators import erdos_renyi, random_regular
 from repro.graphs.weights import EWM_NAMES, edge_weights, normalize_for_lt
 from repro.im.spread import trial_seed_block
 
-from tests.helpers import line, star
+from tests.helpers import from_edges, line, star
 
 GRAPHS = {
     "er": build_csr(erdos_renyi(150, 0.04, seed=1)),
@@ -90,7 +93,7 @@ def test_run_many_batched_regime_small_batches(monkeypatch):
     assert np.array_equal(e.run_many([2], block), b)
 
 
-def test_run_many_lt_fallback():
+def test_run_many_equals_sequential_lt():
     csr = GRAPHS["er"]
     w = normalize_for_lt(csr, edge_weights(csr, "UR", seed=1))
     e = make_engine("csr", csr, w, model="lt")
@@ -140,18 +143,28 @@ def tiny_budget(monkeypatch):
     cloudpickle.unregister_pickle_by_value(csr_engine)
 
 
-def _pure_runs(csr, w, seeds, block):
-    pure = make_engine("pure_python", csr, w)
-    return [pure.run(seeds, int(t)) for t in block.tolist()]
+def _pure_runs(csr, w, seeds, block, model="ic"):
+    pure = make_engine("pure_python", csr, w, model=model)
+    return [pure.run(seeds, int(t)) for t in block]
 
 
-@pytest.mark.parametrize("ewm", EWM_NAMES)
-def test_tiny_budget_bit_equal_to_pure_python(tiny_budget, ewm):
-    csr = GRAPHS["er"]
+def _weights(csr, ewm, model):
     w = edge_weights(csr, ewm, seed=4)
-    e = make_engine("csr", csr, w)
+    return normalize_for_lt(csr, w) if model == "lt" else w
+
+
+# The IC cases keep their plain EWM ids.
+@pytest.mark.parametrize(
+    "model, ewm",
+    [pytest.param("ic", ewm, id=ewm) for ewm in EWM_NAMES]
+    + [pytest.param("lt", ewm, id=f"lt-{ewm}") for ewm in EWM_NAMES],
+)
+def test_tiny_budget_bit_equal_to_pure_python(tiny_budget, model, ewm):
+    csr = GRAPHS["er"]
+    w = _weights(csr, ewm, model)
+    e = make_engine("csr", csr, w, model=model)
     block = trial_seed_block(12, 10)
-    want = _pure_runs(csr, w, [0, 7, 23], block)
+    want = _pure_runs(csr, w, [0, 7, 23], block.tolist(), model)
     assert [len(b) for _, b in e.activation_times([0, 7, 23], block)] == [3, 3, 3, 1]
     assert e.run_many([0, 7, 23], block).tolist() == [r.num_active for r in want]
     for t, r in zip(block.tolist(), want):
@@ -160,17 +173,22 @@ def test_tiny_budget_bit_equal_to_pure_python(tiny_budget, ewm):
         assert got.num_iterations == r.num_iterations
 
 
-def test_tiny_budget_spark_workers_bit_equal_to_pure_python(tiny_budget, spark):
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_tiny_budget_spark_workers_bit_equal_to_pure_python(tiny_budget, spark, model):
     csr = GRAPHS["er"]
-    w = edge_weights(csr, "UR", seed=4)
+    w = _weights(csr, "UR", model)
     block = trial_seed_block(13, 10)
-    want = _pure_runs(csr, w, [0, 7], block)
-    summary = run_trials_df(spark, csr, w, [0, 7], block).toPandas().sort_values("trial")
+    want = _pure_runs(csr, w, [0, 7], block.tolist(), model)
+    summary = (
+        run_trials_df(spark, csr, w, [0, 7], block, model=model).toPandas().sort_values("trial")
+    )
     assert summary["trial"].tolist() == sorted(block.tolist())
     by_trial = dict(zip(block.tolist(), want))
     for t, na, ni in zip(summary["trial"], summary["num_active"], summary["num_iterations"]):
         assert (na, ni) == (by_trial[t].num_active, by_trial[t].num_iterations)
-    act = run_trials_df(spark, csr, w, [0, 7], block, output="activations").toPandas()
+    act = run_trials_df(
+        spark, csr, w, [0, 7], block, model=model, output="activations"
+    ).toPandas()
     got = {(t, v, tm) for t, v, tm in act.itertuples(index=False)}
     exp = {
         (t, int(v), int(r.activation_time[v]))
@@ -178,3 +196,23 @@ def test_tiny_budget_spark_workers_bit_equal_to_pure_python(tiny_budget, spark):
         for v in r.active_nodes
     }
     assert len(act) == len(got) and got == exp
+
+
+def test_lt_threshold_crossed_across_pieces(monkeypatch):
+    """With one edge per piece, an in-star's sink reaches its threshold
+    only after pushes from several pieces of round 1, and activates in
+    that round all the same, as in pure_python."""
+    monkeypatch.setattr(csr_engine, "EDGE_PIECE", 1)
+    csr = from_edges(6, [[0, 4], [1, 4], [2, 4], [3, 4], [4, 5]])
+    w = np.array([0.25, 0.25, 0.25, 0.25, 1.0])
+    block = [
+        t
+        for t in trial_seed_block(14, 40).tolist()
+        if ScalarCoins(STREAM_LT_THRESHOLD, t).u(4) > 0.5
+    ]
+    assert len(block) >= 10
+    e = make_engine("csr", csr, w, model="lt")
+    for t, r in zip(block, _pure_runs(csr, w, [0, 1, 2, 3], block, "lt")):
+        got = e.run([0, 1, 2, 3], t).activation_time.tolist()
+        assert got == r.activation_time.tolist() == [0, 0, 0, 0, 1, 2]
+    assert e.run_many([0, 1, 2, 3], block).tolist() == [6] * len(block)

@@ -14,7 +14,7 @@ from repro.diffusion.exact import reachable
 from repro.diffusion.spark_engine import frontier_reachability_df, sample_live_edges
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.weights import edge_weights
+from repro.graphs.weights import edge_weights, normalize_for_lt
 from repro.im.spread import trial_seed_block
 from repro.oracle import assert_equivalent
 
@@ -114,6 +114,23 @@ def test_sample_live_edges_lt_pick_rate():
             counts[edge_index[tuple(e)]] += 1
     freq = counts / len(block)
     assert np.abs(freq - w).max() < 0.08
+
+
+def test_sample_live_edges_rejects_invalid_weights():
+    """Unnormalized LT weights would skew the picks and a NaN weight would
+    drop its edge, so both are rejected rather than sampled."""
+    csr = build_csr(erdos_renyi(30, 0.15, seed=6))
+    w = edge_weights(csr, "UR", seed=1)
+    assert np.bincount(csr.indices, weights=w).max() > 1
+    with pytest.raises(ValueError, match="sum to"):
+        sample_live_edges(csr, w, 7, model="lt")
+    sample_live_edges(csr, w, 7, model="ic")
+    w = normalize_for_lt(csr, w)
+    sample_live_edges(csr, w, 7, model="lt")
+    w[3] = np.nan
+    for model in ("ic", "lt"):
+        with pytest.raises(ValueError, match="finite"):
+            sample_live_edges(csr, w, 7, model=model)
 
 
 def test_live_edge_reachability_equals_local_bfs(spark, workload):
